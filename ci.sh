@@ -23,6 +23,13 @@ cargo clippy -p recurs-net --all-targets --features fault-inject --offline -- -D
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
+# The serving benchmark (perfbench/, declared in BENCHMARK.json) is a cargo
+# package of its own outside the workspace that builds the crates from
+# source, so a change to an API it calls must fail here, not in a benchmark
+# run. Build it and run its unit tests.
+echo "==> perfbench build + unit tests"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # The fault-injection lanes include the ivm differential gate under forced
 # maintenance truncation (tripped patches must still equal the from-scratch
 # oracle via the cold fallback).

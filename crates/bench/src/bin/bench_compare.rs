@@ -59,7 +59,7 @@ use recurs_datalog::rule::LinearRecursion;
 use recurs_datalog::symbol::Symbol;
 use recurs_datalog::validate::validate_with_generic_exit;
 use recurs_datalog::Database;
-use recurs_engine::{run_linear, EngineConfig, EngineMode};
+use recurs_engine::{run_linear, EngineConfig};
 use recurs_ivm::{EdbDelta, FactOp, Materialization};
 use recurs_obs::aggregate::Aggregator;
 use recurs_obs::Obs;
@@ -168,7 +168,6 @@ fn time_once(work: impl FnOnce()) -> f64 {
 fn interleaved_medians(db: &Database, f: &LinearRecursion, samples: usize) -> (f64, f64, f64) {
     let program = f.to_program();
     let config = |obs: Obs| EngineConfig {
-        mode: EngineMode::Indexed,
         budget: EvalBudget::unlimited(),
         obs,
     };

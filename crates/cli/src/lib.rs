@@ -33,7 +33,7 @@ use recurs_datalog::rule::LinearRecursion;
 use recurs_datalog::term::Term;
 use recurs_datalog::validate::validate_with_generic_exit;
 use recurs_datalog::{Atom, Database};
-use recurs_engine::{EngineConfig, EngineMode};
+use recurs_engine::EngineConfig;
 use recurs_igraph::build::resolution_graph;
 use recurs_igraph::component::ComponentKind;
 use recurs_igraph::dot::{to_ascii, to_dot};
@@ -51,21 +51,18 @@ use std::time::Duration;
 pub enum EngineChoice {
     /// The reference semi-naive evaluator (`recurs_datalog::eval`).
     Oracle,
-    /// The indexed engine (`recurs-engine`, single-threaded).
+    /// The indexed engine (`recurs-engine`).
     Indexed,
-    /// The indexed engine with delta-sharded worker threads.
-    Parallel,
 }
 
 impl EngineChoice {
-    /// Parses `oracle`/`indexed`/`parallel`.
+    /// Parses `oracle`/`indexed`.
     pub fn parse(s: &str) -> Result<EngineChoice, String> {
         match s {
             "oracle" => Ok(EngineChoice::Oracle),
             "indexed" => Ok(EngineChoice::Indexed),
-            "parallel" => Ok(EngineChoice::Parallel),
             other => Err(format!(
-                "unknown engine `{other}` (expected oracle, indexed, or parallel)"
+                "unknown engine `{other}` (expected oracle or indexed)"
             )),
         }
     }
@@ -75,7 +72,6 @@ impl EngineChoice {
         match self {
             EngineChoice::Oracle => "oracle",
             EngineChoice::Indexed => "indexed",
-            EngineChoice::Parallel => "parallel",
         }
     }
 }
@@ -95,8 +91,8 @@ pub enum Command {
         /// Query-form patterns (`dvv`-style); defaults to the file's queries.
         forms: Vec<String>,
     },
-    /// `recurs run <file> [--check] [--engine E] [--threads N]
-    /// [--timeout-ms T] [--max-tuples N] [--max-iterations K] [--stats-json]`
+    /// `recurs run <file> [--check] [--engine E] [--timeout-ms T]
+    /// [--max-tuples N] [--max-iterations K] [--stats-json]`
     Run {
         /// Source file path.
         file: String,
@@ -104,8 +100,6 @@ pub enum Command {
         check: bool,
         /// Saturate with this engine instead of executing query plans.
         engine: Option<EngineChoice>,
-        /// Worker threads for `--engine parallel`.
-        threads: usize,
         /// Wall-clock budget in milliseconds (requires `--engine`).
         timeout_ms: Option<u64>,
         /// Derived-tuple ceiling (requires `--engine`).
@@ -165,8 +159,6 @@ pub enum Command {
 /// what per-query budget it enforces.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceOpts {
-    /// Worker threads for saturating kernels; 1 runs the indexed engine.
-    pub threads: usize,
     /// Disable the saturation cache.
     pub no_cache: bool,
     /// Saturation-cache capacity in entries.
@@ -186,7 +178,6 @@ pub struct ServiceOpts {
 impl Default for ServiceOpts {
     fn default() -> ServiceOpts {
         ServiceOpts {
-            threads: 1,
             no_cache: false,
             cache_capacity: 1024,
             max_concurrent: 4,
@@ -260,13 +251,6 @@ impl ServiceOpts {
                 .map_err(|_| format!("invalid value `{n}` for {flag}"))
         };
         match rest[i].as_str() {
-            "--threads" => {
-                self.threads = parse_num("--threads")?;
-                if self.threads == 0 {
-                    return Err("--threads must be at least 1".into());
-                }
-                Ok(Some(i + 2))
-            }
             "--no-cache" => {
                 self.no_cache = true;
                 Ok(Some(i + 1))
@@ -325,7 +309,7 @@ USAGE:
     recurs plan <file> [--form dvv]...     show the compiled plan per query form
     recurs run <file> [--check]            answer the file's ?- queries
                                            (--check: verify against the fixpoint)
-                      [--engine oracle|indexed|parallel] [--threads N]
+                      [--engine oracle|indexed]
                                            saturate with the chosen engine
                                            instead of compiled query plans
                       [--timeout-ms T] [--max-tuples N] [--max-iterations K]
@@ -383,7 +367,7 @@ USAGE:
                                            the query service (repeat to exercise
                                            the cache) [--stats-json: append the
                                            service statistics as one JSON line]
-        serve/batch options: [--threads N] [--no-cache] [--cache-capacity N]
+        serve/batch options: [--no-cache] [--cache-capacity N]
                              [--max-concurrent N] [--timeout-ms T]
                              [--max-tuples N] [--max-iterations K]
                              [--trace FILE: write the service's JSON-lines
@@ -440,7 +424,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             let file = it.next().ok_or("run needs a file argument")?;
             let mut check = false;
             let mut engine = None;
-            let mut threads = 2usize;
             let mut timeout_ms = None;
             let mut max_tuples = None;
             let mut max_iterations = None;
@@ -483,20 +466,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                         i += 2;
                     }
                     "--engine" => {
-                        let e = rest
-                            .get(i + 1)
-                            .ok_or("--engine needs oracle, indexed, or parallel")?;
+                        let e = rest.get(i + 1).ok_or("--engine needs oracle or indexed")?;
                         engine = Some(EngineChoice::parse(e)?);
-                        i += 2;
-                    }
-                    "--threads" => {
-                        let n = rest.get(i + 1).ok_or("--threads needs a number")?;
-                        threads = n
-                            .parse()
-                            .map_err(|_| format!("invalid thread count `{n}`"))?;
-                        if threads == 0 {
-                            return Err("--threads must be at least 1".into());
-                        }
                         i += 2;
                     }
                     "--timeout-ms" => {
@@ -537,25 +508,24 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             {
                 return Err(
                     "--timeout-ms/--max-tuples/--max-iterations budget a saturation run; \
-                     pick one with --engine oracle|indexed|parallel (or pass --why)"
+                     pick one with --engine oracle|indexed (or pass --why)"
                         .into(),
                 );
             }
             if stats_json && engine.is_none() {
                 return Err("--stats-json reports saturation statistics; \
-                     pick an engine with --engine oracle|indexed|parallel"
+                     pick an engine with --engine oracle|indexed"
                     .into());
             }
             if (trace.is_some() || metrics) && engine.is_none() {
                 return Err("--trace/--metrics observe a saturation run; \
-                     pick an engine with --engine oracle|indexed|parallel"
+                     pick an engine with --engine oracle|indexed"
                     .into());
             }
             Ok(Command::Run {
                 file: file.clone(),
                 check,
                 engine,
-                threads,
                 timeout_ms,
                 max_tuples,
                 max_iterations,
@@ -830,13 +800,6 @@ pub fn build_service_cancellable(
             opts.cache_capacity
         },
         budget,
-        mode: if opts.threads > 1 {
-            EngineMode::Parallel {
-                threads: opts.threads,
-            }
-        } else {
-            EngineMode::Indexed
-        },
         obs: Obs::fanout(sinks),
         ..recurs_serve::ServeConfig::default()
     };
@@ -847,23 +810,11 @@ pub fn build_service_cancellable(
 }
 
 /// Runs the `serve --stdin` line protocol over arbitrary IO: one request per
-/// input line, one JSON reply per output line. Returns on EOF or `!quit`.
-pub fn serve_on_source(
-    source: &str,
-    opts: &ServiceOpts,
-    input: impl std::io::BufRead,
-    output: impl std::io::Write,
-) -> Result<(), String> {
-    let (service, _queries) = build_service(source, opts)?;
-    recurs_serve::protocol::run_loop(&service, input, output).map_err(|e| format!("serve IO: {e}"))
-}
-
-/// Runs the `serve --stdin` line protocol like [`serve_on_source`], but
-/// drains gracefully when `cancel` fires (SIGTERM/Ctrl-C in the binary): the
-/// in-flight request's budget is cancelled so it truncates quickly and still
-/// gets its one reply, no further lines are started, and the process exits 0
-/// once idle — or 2 if `drain_deadline` expires with the request still
-/// running. A monitor thread calls `process::exit`, because the signal
+/// input line, one JSON reply per output line. Drains gracefully when
+/// `cancel` fires (SIGTERM/Ctrl-C in the binary): the in-flight request's
+/// budget is cancelled so it truncates quickly and still gets its one reply,
+/// no further lines are started, and the process exits 0 once idle — or 2
+/// if `drain_deadline` expires with the request still running. A monitor thread calls `process::exit`, because the signal
 /// handler cannot interrupt a blocked stdin read (`signal(2)` installs with
 /// SA_RESTART semantics). Returns normally on EOF or `!quit`.
 pub fn serve_stdin_drained(
@@ -1062,7 +1013,6 @@ pub fn execute(
         Command::Run {
             check,
             engine,
-            threads,
             timeout_ms,
             max_tuples,
             max_iterations,
@@ -1164,14 +1114,8 @@ pub fn execute(
                                 stats_json.then(|| serde::json::to_string(&stats)),
                             )
                         }
-                        EngineChoice::Indexed | EngineChoice::Parallel => {
+                        EngineChoice::Indexed => {
                             let config = EngineConfig {
-                                mode: match choice {
-                                    EngineChoice::Parallel => {
-                                        EngineMode::Parallel { threads: *threads }
-                                    }
-                                    _ => EngineMode::Indexed,
-                                },
                                 budget,
                                 obs: obs.clone(),
                             };
@@ -1509,7 +1453,6 @@ E(1, 2). E(2, 3). E(2, 4).
                 file: "f.dl".into(),
                 check: true,
                 engine: None,
-                threads: 2,
                 timeout_ms: None,
                 max_tuples: None,
                 max_iterations: None,
@@ -1521,20 +1464,11 @@ E(1, 2). E(2, 3). E(2, 4).
             }
         );
         assert_eq!(
-            parse_args(&args(&[
-                "run",
-                "f.dl",
-                "--engine",
-                "parallel",
-                "--threads",
-                "4"
-            ]))
-            .unwrap(),
+            parse_args(&args(&["run", "f.dl", "--engine", "indexed"])).unwrap(),
             Command::Run {
                 file: "f.dl".into(),
                 check: false,
-                engine: Some(EngineChoice::Parallel),
-                threads: 4,
+                engine: Some(EngineChoice::Indexed),
                 timeout_ms: None,
                 max_tuples: None,
                 max_iterations: None,
@@ -1546,7 +1480,17 @@ E(1, 2). E(2, 3). E(2, 4).
             }
         );
         assert!(parse_args(&args(&["run", "f.dl", "--engine", "warp"])).is_err());
-        assert!(parse_args(&args(&["run", "f.dl", "--threads", "0"])).is_err());
+        // `--engine parallel` and `--threads` are usage errors everywhere.
+        let err = parse_args(&args(&["run", "f.dl", "--engine", "parallel"])).unwrap_err();
+        assert!(err.contains("unknown engine `parallel`"), "{err}");
+        for cmd in [
+            &["run", "f.dl", "--threads", "2"][..],
+            &["serve", "f.dl", "--stdin", "--threads", "2"],
+            &["batch", "f.dl", "--threads", "2"],
+        ] {
+            let err = parse_args(&args(cmd)).unwrap_err();
+            assert!(err.contains("unknown option `--threads`"), "{cmd:?}: {err}");
+        }
         assert_eq!(
             parse_args(&args(&["figure", "f.dl", "--levels", "3", "--dot"])).unwrap(),
             Command::Figure {
@@ -1582,7 +1526,6 @@ E(1, 2). E(2, 3). E(2, 4).
                 file: "f.dl".into(),
                 check: false,
                 engine: Some(EngineChoice::Indexed),
-                threads: 2,
                 timeout_ms: Some(250),
                 max_tuples: Some(100),
                 max_iterations: Some(7),
@@ -1608,7 +1551,6 @@ E(1, 2). E(2, 3). E(2, 4).
                 file: "f.dl".into(),
                 check: false,
                 engine: None,
-                threads: 2,
                 timeout_ms: None,
                 max_tuples: None,
                 max_iterations: None,
@@ -1664,7 +1606,6 @@ E(1, 2). E(2, 3). E(2, 4).
             file: String::new(),
             check: false,
             engine: None,
-            threads: 2,
             timeout_ms: None,
             max_tuples,
             max_iterations: None,
@@ -1731,7 +1672,6 @@ E(1, 2). E(2, 3). E(2, 4).
             file: String::new(),
             check: true,
             engine: Some(engine),
-            threads: 2,
             timeout_ms: None,
             max_tuples,
             max_iterations,
@@ -1745,11 +1685,7 @@ E(1, 2). E(2, 3). E(2, 4).
 
     #[test]
     fn budgeted_run_reports_truncation_and_a_sound_subset() {
-        for engine in [
-            EngineChoice::Oracle,
-            EngineChoice::Indexed,
-            EngineChoice::Parallel,
-        ] {
+        for engine in [EngineChoice::Oracle, EngineChoice::Indexed] {
             let out = execute(&budgeted_run(engine, Some(1), None), TC, None).unwrap();
             assert!(
                 !out.outcome.is_complete(),
@@ -1820,7 +1756,6 @@ E(1, 2). E(2, 3). E(2, 4).
                 file: String::new(),
                 check: true,
                 engine: None,
-                threads: 2,
                 timeout_ms: None,
                 max_tuples: None,
                 max_iterations: None,
@@ -1848,7 +1783,6 @@ E(1, 2). E(2, 3). E(2, 4).
                 file: String::new(),
                 check: false,
                 engine: None,
-                threads: 2,
                 timeout_ms: None,
                 max_tuples: None,
                 max_iterations: None,
@@ -1861,17 +1795,12 @@ E(1, 2). E(2, 3). E(2, 4).
             TC,
         )
         .unwrap();
-        for choice in [
-            EngineChoice::Oracle,
-            EngineChoice::Indexed,
-            EngineChoice::Parallel,
-        ] {
+        for choice in [EngineChoice::Oracle, EngineChoice::Indexed] {
             let out = run_on_source(
                 &Command::Run {
                     file: String::new(),
                     check: true,
                     engine: Some(choice),
-                    threads: 3,
                     timeout_ms: None,
                     max_tuples: None,
                     max_iterations: None,
@@ -1897,7 +1826,6 @@ E(1, 2). E(2, 3). E(2, 4).
                 file: String::new(),
                 check: false,
                 engine: Some(EngineChoice::Indexed),
-                threads: 2,
                 timeout_ms: None,
                 max_tuples: None,
                 max_iterations: None,
@@ -1971,7 +1899,6 @@ E(1, 2). E(2, 3). E(2, 4).
                 file: String::new(),
                 check: false,
                 engine: None,
-                threads: 2,
                 timeout_ms: None,
                 max_tuples: None,
                 max_iterations: None,
@@ -1997,7 +1924,6 @@ E(1, 2). E(2, 3). E(2, 4).
                 file: String::new(),
                 check: true,
                 engine: None,
-                threads: 2,
                 timeout_ms: None,
                 max_tuples: None,
                 max_iterations: None,
@@ -2028,8 +1954,6 @@ E(1, 2). E(2, 3). E(2, 4).
                 "serve",
                 "f.dl",
                 "--stdin",
-                "--threads",
-                "3",
                 "--no-cache",
                 "--max-tuples",
                 "9"
@@ -2038,7 +1962,6 @@ E(1, 2). E(2, 3). E(2, 4).
             Command::Serve {
                 file: "f.dl".into(),
                 opts: ServiceOpts {
-                    threads: 3,
                     no_cache: true,
                     max_tuples: Some(9),
                     ..ServiceOpts::default()
@@ -2059,7 +1982,14 @@ E(1, 2). E(2, 3). E(2, 4).
         ]))
         .unwrap_err();
         assert!(err.contains("exactly one"), "{err}");
-        assert!(parse_args(&args(&["serve", "f.dl", "--stdin", "--threads", "0"])).is_err());
+        assert!(parse_args(&args(&[
+            "serve",
+            "f.dl",
+            "--stdin",
+            "--max-concurrent",
+            "0"
+        ]))
+        .is_err());
 
         assert_eq!(
             parse_args(&args(&[
@@ -2103,7 +2033,6 @@ E(1, 2). E(2, 3). E(2, 4).
                 file: "f.dl".into(),
                 check: false,
                 engine: Some(EngineChoice::Indexed),
-                threads: 2,
                 timeout_ms: None,
                 max_tuples: None,
                 max_iterations: None,
@@ -2124,7 +2053,6 @@ E(1, 2). E(2, 3). E(2, 4).
                     file: String::new(),
                     check: false,
                     engine: Some(choice),
-                    threads: 2,
                     timeout_ms: None,
                     max_tuples: None,
                     max_iterations: None,
@@ -2153,7 +2081,6 @@ E(1, 2). E(2, 3). E(2, 4).
                 file: String::new(),
                 check: true,
                 engine: None,
-                threads: 2,
                 timeout_ms: None,
                 max_tuples: None,
                 max_iterations: None,
@@ -2178,7 +2105,6 @@ E(1, 2). E(2, 3). E(2, 4).
                 file: String::new(),
                 check: true,
                 engine: None,
-                threads: 2,
                 timeout_ms: None,
                 max_tuples: None,
                 max_iterations: None,
@@ -2236,20 +2162,6 @@ E(1, 2). E(2, 3). E(2, 4).
     }
 
     #[test]
-    fn serve_on_source_speaks_the_line_protocol() {
-        let input = b"?- P(1, y).\n+A(4, 5).\n+E(4, 5).\n?- P(1, y).\n!quit\n" as &[u8];
-        let mut output = Vec::new();
-        serve_on_source(TC, &ServiceOpts::default(), input, &mut output).unwrap();
-        let text = String::from_utf8(output).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 4, "{text}");
-        assert!(lines[0].contains("\"count\":3"), "{text}");
-        assert!(lines[1].contains("\"version\":1"), "{text}");
-        assert!(lines[2].contains("\"version\":2"), "{text}");
-        assert!(lines[3].contains("\"count\":4"), "{text}");
-    }
-
-    #[test]
     fn serve_command_is_rejected_by_the_buffered_executor() {
         let err = run_on_source(
             &Command::Serve {
@@ -2282,7 +2194,7 @@ E(1, 2). E(2, 3). E(2, 4).
                 "8",
                 "--listen",
                 "127.0.0.1:4004",
-                "--threads",
+                "--max-concurrent",
                 "2",
                 "--drain-ms",
                 "750",
@@ -2297,7 +2209,7 @@ E(1, 2). E(2, 3). E(2, 4).
             Command::Serve {
                 file: "f.dl".into(),
                 opts: ServiceOpts {
-                    threads: 2,
+                    max_concurrent: 2,
                     ..ServiceOpts::default()
                 },
                 net: Some(NetOpts {
@@ -2417,9 +2329,7 @@ E(1, 2). E(2, 3). E(2, 4).
             trace: Some(path.to_string_lossy().into_owned()),
             ..ServiceOpts::default()
         };
-        let input = b"?- P(1, y).\n!quit\n" as &[u8];
-        let mut output = Vec::new();
-        serve_on_source(TC, &opts, input, &mut output).unwrap();
+        serve_lines(&opts, b"?- P(1, y).\n!quit\n");
         let trace = std::fs::read_to_string(&path).unwrap();
         assert!(!trace.trim().is_empty(), "trace file is empty");
         let mut saw_span = false;
@@ -2482,24 +2392,52 @@ E(1, 2). E(2, 3). E(2, 4).
         assert!(!report.forced, "an idle server must drain cleanly");
     }
 
-    #[test]
-    fn serve_stdin_drained_speaks_the_protocol_without_a_signal() {
-        let input = b"?- P(1, y).\n+A(4, 5).\n+E(4, 5).\n?- P(1, y).\n!quit\n" as &[u8];
+    /// Runs the stdin line protocol over in-memory IO with a token that is
+    /// never cancelled, so the session ends on EOF or `!quit`.
+    fn serve_lines(opts: &ServiceOpts, input: &[u8]) -> String {
         let mut output = Vec::new();
-        serve_stdin_drained(
+        serve_stdin_impl(
             TC,
-            &ServiceOpts::default(),
+            opts,
             CancelToken::new(),
             Duration::from_secs(5),
             input,
             &mut output,
+            |_| {},
         )
         .unwrap();
-        let text = String::from_utf8(output).unwrap();
+        String::from_utf8(output).unwrap()
+    }
+
+    #[test]
+    fn serve_on_source_speaks_the_line_protocol() {
+        let text = serve_lines(
+            &ServiceOpts::default(),
+            b"?- P(1, y).\n+A(4, 5).\n+E(4, 5).\n?- P(1, y).\n!quit\n",
+        );
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 4, "{text}");
         assert!(lines[0].contains("\"count\":3"), "{text}");
+        assert!(lines[1].contains("\"version\":1"), "{text}");
+        assert!(lines[2].contains("\"version\":2"), "{text}");
         assert!(lines[3].contains("\"count\":4"), "{text}");
+    }
+
+    #[test]
+    fn serve_stdin_drained_speaks_the_protocol_without_a_signal() {
+        let text = serve_lines(
+            &ServiceOpts::default(),
+            b"?- P(1, y).\n+A(4, 5).\n+E(4, 5).\n?- P(1, y).\n!stats\n!quit\n?- P(2, y).\n",
+        );
+        // One reply per line; `!quit` ends the session before the last line.
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 5, "{text}");
+        assert!(lines[0].contains("\"count\":3"), "{text}");
+        // Each update bumps the snapshot version.
+        assert!(lines[1].contains("\"version\":1"), "{text}");
+        assert!(lines[2].contains("\"version\":2"), "{text}");
+        assert!(lines[3].contains("\"count\":4"), "{text}");
+        assert!(lines[4].contains("\"type\":\"stats\""), "{text}");
     }
 
     #[test]

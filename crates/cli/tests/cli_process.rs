@@ -62,9 +62,7 @@ fn zero_timeout_stops_before_any_work_with_exit_code_two() {
         "run",
         &dataset("unbounded_s9.dl"),
         "--engine",
-        "parallel",
-        "--threads",
-        "3",
+        "indexed",
         "--timeout-ms",
         "0",
     ]);
@@ -118,6 +116,17 @@ fn bad_usage_exits_one() {
     let out = recurs(&["run", &dataset("transitive_closure.dl"), "--bogus"]);
     assert_eq!(out.status.code(), Some(1));
     assert!(stderr(&out).contains("unknown option"), "{}", stderr(&out));
+    // `--engine parallel` and `--threads` are usage errors too.
+    let tc = dataset("transitive_closure.dl");
+    for args in [
+        &["run", &tc, "--engine", "parallel"][..],
+        &["run", &tc, "--engine", "indexed", "--threads", "2"],
+        &["batch", &tc, "--threads", "2"],
+    ] {
+        let out = recurs(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(stderr(&out).starts_with("error: "), "{}", stderr(&out));
+    }
 }
 
 #[test]

@@ -44,23 +44,18 @@ fn engine_saturation(outcome: Outcome) -> Saturation {
         outcome,
         stats: EngineStats {
             kernel: Some(KernelKind::Frontier),
-            threads: 2,
             iterations: vec![
                 IterationStats {
                     delta_in: 0,
                     derived: 4,
                     new_tuples: 4,
                     duration: Duration::from_micros(120),
-                    busy: Duration::from_micros(120),
-                    workers: 1,
                 },
                 IterationStats {
                     delta_in: 4,
                     derived: 5,
                     new_tuples: 3,
                     duration: Duration::from_micros(80),
-                    busy: Duration::from_micros(150),
-                    workers: 2,
                 },
             ],
             tuples_derived: 7,
@@ -70,8 +65,6 @@ fn engine_saturation(outcome: Outcome) -> Saturation {
             },
             probes: 9,
             probe_hits: 6,
-            worker_panics: 1,
-            degraded_iterations: 1,
         },
     }
 }
@@ -130,7 +123,6 @@ fn live_stats_json_carries_the_pinned_keys() {
             file: String::new(),
             check: false,
             engine: Some(recurs_cli::EngineChoice::Indexed),
-            threads: 1,
             timeout_ms: None,
             max_tuples: None,
             max_iterations: None,

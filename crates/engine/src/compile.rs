@@ -23,23 +23,14 @@ use std::collections::HashMap;
 /// distinct variable bound so far, in first-occurrence order.
 pub type Row = Vec<Value>;
 
-/// Probe/hit counters for one pipeline execution (merged into
-/// [`crate::EngineStats`] by the driver; workers keep their own and the
-/// driver sums them, so the shared storage stays read-only during joins).
+/// Probe/hit counters for pipeline executions (copied into
+/// [`crate::EngineStats`] by the driver once the run ends).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ProbeCounters {
     /// Index probes issued.
     pub probes: u64,
     /// Tuples the probes returned.
     pub hits: u64,
-}
-
-impl ProbeCounters {
-    /// Adds another counter set into this one.
-    pub fn absorb(&mut self, other: ProbeCounters) {
-        self.probes += other.probes;
-        self.hits += other.hits;
-    }
 }
 
 /// Where a join-key component comes from.
@@ -118,9 +109,6 @@ pub struct CompiledRule {
     pub seed: Option<SeedSpec>,
     steps: Vec<JoinStep>,
     head: Vec<HeadCol>,
-    /// Acc columns the parallel driver shards seed rows by: the key columns
-    /// of the first join step (empty → shard by the whole row).
-    shard_cols: Vec<usize>,
 }
 
 impl CompiledRule {
@@ -228,26 +216,12 @@ impl CompiledRule {
             })
             .collect::<Result<Vec<_>, _>>()?;
 
-        let shard_cols = steps
-            .first()
-            .map(|s| {
-                s.key
-                    .iter()
-                    .filter_map(|k| match k {
-                        KeyPart::Acc(a) => Some(*a),
-                        KeyPart::Const(_) => None,
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-
         Ok(CompiledRule {
             head_pred: rule.head.predicate,
             head_arity: rule.head.arity(),
             seed,
             steps,
             head,
-            shard_cols,
         })
     }
 
@@ -258,13 +232,6 @@ impl CompiledRule {
             .iter()
             .filter(|s| !s.index_cols.is_empty())
             .map(|s| (s.pred, s.index_cols.as_slice()))
-    }
-
-    /// Columns of the seed row that determine which worker shard a row goes
-    /// to (the first join step's key — rows probing the same key land on
-    /// the same worker, keeping per-worker probe locality).
-    pub fn shard_cols(&self) -> &[usize] {
-        &self.shard_cols
     }
 
     /// Runs the pipeline over the given seed rows, appending derived head
@@ -485,7 +452,5 @@ mod tests {
         // The single join step probes A on its second column (z).
         let idx: Vec<_> = cr.required_indexes().collect();
         assert_eq!(idx, vec![(Symbol::intern("A"), &[1usize][..])]);
-        // Sharding follows the first step's key (acc column of z).
-        assert_eq!(cr.shard_cols(), &[0]);
     }
 }

@@ -1,5 +1,5 @@
-//! Fault injection for robustness tests: worker panics, artificial
-//! slowdowns, and allocation pressure at configurable points.
+//! Fault injection for robustness tests: artificial slowdowns and
+//! allocation pressure at configurable points.
 //!
 //! Compiled only under `cfg(test)` or the `fault-inject` feature — release
 //! builds without the feature contain none of these hooks. A test arms a
@@ -7,35 +7,18 @@
 //! serialization gate (faulty tests must not overlap, the plan is process
 //! global) and disarms the plan on drop, even if the test panics.
 //!
-//! Decisions are made under the plan lock but the injected actions (panic,
-//! sleep) run *outside* it, so an injected panic never poisons the plan
-//! mutex for the next test.
+//! Decisions are made under the plan lock but the injected actions (sleep)
+//! run *outside* it, so a slow round never holds the plan mutex.
 
 use recurs_obs::{field, Obs};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-/// When injected worker panics fire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PanicMode {
-    /// The given worker index panics once (the first time it starts);
-    /// subsequent starts of the same worker run normally. Exercises the
-    /// parallel engine's single-threaded retry.
-    OnceInWorker(usize),
-    /// Every worker start panics, *and* the single-threaded retry panics.
-    /// Exercises the end of the degradation ladder
-    /// ([`crate::EngineError::WorkerPanic`]).
-    Always,
-}
-
 /// One armed fault scenario.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    /// Inject panics into shard workers (and, for [`PanicMode::Always`],
-    /// the retry path).
-    pub panic_mode: Option<PanicMode>,
-    /// Sleep this long at every worker start (simulates a slow worker, for
-    /// deadline tests).
+    /// Sleep this long at the start of every recursive round (simulates a
+    /// slow round, for deadline tests).
     pub slowdown: Option<Duration>,
     /// Extra bytes reported to the engine's memory estimate (simulates
     /// allocation pressure without actually allocating).
@@ -58,15 +41,6 @@ pub fn arm(plan: FaultPlan) -> FaultGuard {
     FaultGuard { _gate: gate }
 }
 
-/// Serializes a non-faulty test against armed fault plans: while the
-/// returned guard lives, no fault plan can be armed (and none is armed).
-/// Parallel-mode tests in the same process as fault tests take this to
-/// avoid absorbing another test's injected fault.
-pub fn quiesce() -> FaultGuard {
-    let gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
-    FaultGuard { _gate: gate }
-}
-
 /// RAII guard of an armed [`FaultPlan`]; see [`arm`].
 #[derive(Debug)]
 pub struct FaultGuard {
@@ -79,87 +53,24 @@ impl Drop for FaultGuard {
     }
 }
 
-/// Hook called by each shard worker as it starts an iteration's work. May
-/// sleep and/or panic according to the armed plan.
-pub fn worker_start(worker: usize) {
-    worker_start_obs(worker, &Obs::noop());
-}
-
-/// [`worker_start`] with an observability handle: each injected action is
-/// announced as a `fault.injected` trace event *before* it takes effect
-/// (an injected panic unwinds, so emitting afterwards is impossible). The
-/// events make injected failures distinguishable from organic ones in a
-/// trace.
-pub fn worker_start_obs(worker: usize, obs: &Obs) {
-    let (do_panic, sleep) = {
-        let mut plan = plan_lock();
-        match plan.as_mut() {
-            None => (false, None),
-            Some(p) => {
-                let do_panic = match p.panic_mode {
-                    Some(PanicMode::OnceInWorker(w)) if w == worker => {
-                        p.panic_mode = None; // consumed
-                        true
-                    }
-                    Some(PanicMode::Always) => true,
-                    _ => false,
-                };
-                (do_panic, p.slowdown)
-            }
-        }
-    };
+/// Hook called by the fixpoint driver at the start of each recursive round.
+/// Sleeps according to the armed plan, announcing the slowdown as a
+/// `fault.injected` trace event first, so a trace reader can tell an
+/// injected stall from an organic one.
+pub fn round_start(obs: &Obs) {
+    let sleep = plan_lock().as_ref().and_then(|p| p.slowdown);
     if let Some(d) = sleep {
         if obs.enabled() {
             obs.event(
                 "fault.injected",
                 &[
                     ("kind", field::s("slowdown")),
-                    ("site", field::s("worker")),
-                    ("worker", field::uz(worker)),
+                    ("site", field::s("round")),
                     ("duration_us", field::us(d)),
                 ],
             );
         }
         std::thread::sleep(d);
-    }
-    if do_panic {
-        if obs.enabled() {
-            obs.event(
-                "fault.injected",
-                &[
-                    ("kind", field::s("panic")),
-                    ("site", field::s("worker")),
-                    ("worker", field::uz(worker)),
-                ],
-            );
-        }
-        panic!("injected fault: worker {worker} panic");
-    }
-}
-
-/// Hook called at the start of the single-threaded retry after a worker
-/// panic. Panics under [`PanicMode::Always`].
-pub fn retry_start() {
-    retry_start_obs(&Obs::noop());
-}
-
-/// [`retry_start`] with an observability handle; see [`worker_start_obs`].
-pub fn retry_start_obs(obs: &Obs) {
-    let do_panic = {
-        let plan = plan_lock();
-        matches!(
-            plan.as_ref().and_then(|p| p.panic_mode),
-            Some(PanicMode::Always)
-        )
-    };
-    if do_panic {
-        if obs.enabled() {
-            obs.event(
-                "fault.injected",
-                &[("kind", field::s("panic")), ("site", field::s("retry"))],
-            );
-        }
-        panic!("injected fault: retry panic");
     }
 }
 
@@ -185,34 +96,9 @@ mod tests {
     }
 
     #[test]
-    fn once_in_worker_is_consumed() {
-        let _g = arm(FaultPlan {
-            panic_mode: Some(PanicMode::OnceInWorker(0)),
-            ..FaultPlan::default()
-        });
-        let first = std::panic::catch_unwind(|| worker_start(0));
-        assert!(first.is_err());
-        // Consumed: the same worker starts cleanly next time, and the plan
-        // mutex is not poisoned.
-        worker_start(0);
-        worker_start(1);
-    }
-
-    #[test]
-    fn always_panics_workers_and_retry() {
-        let _g = arm(FaultPlan {
-            panic_mode: Some(PanicMode::Always),
-            ..FaultPlan::default()
-        });
-        assert!(std::panic::catch_unwind(|| worker_start(3)).is_err());
-        assert!(std::panic::catch_unwind(retry_start).is_err());
-    }
-
-    #[test]
     fn unarmed_hooks_are_noops() {
-        let _g = quiesce();
-        worker_start(0);
-        retry_start();
+        let _g = arm(FaultPlan::default());
+        round_start(&Obs::noop());
         assert_eq!(ballast_bytes(), 0);
     }
 }

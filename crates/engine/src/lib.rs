@@ -1,5 +1,5 @@
-//! `recurs-engine` — an indexed, optionally parallel semi-naive execution
-//! engine with class-aware kernels.
+//! `recurs-engine` — an indexed semi-naive execution engine with
+//! class-aware kernels.
 //!
 //! The oracle evaluator in `recurs_datalog::eval` is written for clarity: it
 //! re-plans the join order, re-normalizes atoms, and rebuilds hash indexes
@@ -15,17 +15,15 @@
 //!   position) becomes a fixed [`compile::CompiledRule`] pipeline — seed
 //!   selection/projection, then hash-probe join steps with constants folded
 //!   into the index keys.
-//! * **Parallelism**: in [`EngineMode::Parallel`] the delta is sharded by
-//!   the hash of each row's first join key onto `std::thread::scope`
-//!   workers; per-worker result buffers are merged and deduped against the
-//!   total relation on the main thread, so shared storage stays read-only
-//!   while workers run.
 //! * **Kernels** ([`kernel`]): the dispatcher inspects the formula's
 //!   [`Classification`](recurs_core::Classification) — one-directional
 //!   classes (A1/A3/A5) run the frontier kernel, formulas with a proven rank
 //!   bound (A2/A4/B/D) run bounded unrolling that stops at the rank *without
 //!   fixpoint detection*, and everything else (C/E/F) takes the generic
 //!   semi-naive fallback.
+//!
+//! All three kernels share one fixpoint driver: each round runs the compiled
+//! pipelines single-threaded over the indexed storage.
 //!
 //! # Failure semantics
 //!
@@ -35,15 +33,12 @@
 //! cooperatively every few hundred rows. A run that stops early returns
 //! `Ok(`[`Saturation`]`)` with [`Outcome::Truncated`] and writes back a
 //! *sound under-approximation* of the fixpoint — every derived tuple is a
-//! true consequence; stopping only omits tuples. Worker panics are
-//! contained: a panicked parallel iteration is retried single-threaded
-//! (workers never mutate shared storage, so the retry is clean), recorded in
-//! [`EngineStats::worker_panics`]/[`EngineStats::degraded_iterations`]; only
-//! if the retry panics too does the run fail with
-//! [`EngineError::WorkerPanic`].
+//! true consequence; stopping only omits tuples. The driver writes back only
+//! after the loop ends, so a run that errors or panics mid-fixpoint writes no
+//! derived tuple into the caller's database.
 //!
-//! [`EngineStats`] reports per-iteration timings, delta sizes, index hit
-//! counts, worker utilization, and degradation events.
+//! [`EngineStats`] reports per-iteration timings, delta sizes and index hit
+//! counts.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -73,36 +68,22 @@ use recurs_datalog::rule::{LinearRecursion, Program};
 use recurs_datalog::symbol::Symbol;
 use recurs_obs::{field, Obs};
 use std::collections::{BTreeMap, BTreeSet};
-use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
-/// How the engine executes each iteration's joins.
+/// How the engine executes each iteration's joins. The engine has one
+/// execution path, so this has one variant; it stays a type because callers
+/// outside this workspace (the serving benchmark under `perfbench/`) name it
+/// when they call `recurs_serve::PointPlans::answer`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
     /// Single-threaded execution over persistent indexes.
     #[default]
     Indexed,
-    /// Delta-sharded execution on scoped worker threads.
-    Parallel {
-        /// Number of worker threads (at least 1).
-        threads: usize,
-    },
-}
-
-impl EngineMode {
-    fn threads(self) -> usize {
-        match self {
-            EngineMode::Indexed => 1,
-            EngineMode::Parallel { threads } => threads.max(1),
-        }
-    }
 }
 
 /// Engine configuration.
 #[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
-    /// Execution mode.
-    pub mode: EngineMode,
     /// Resource budget. The default is unlimited (run to fixpoint); any
     /// tripped ceiling ends the run with [`Outcome::Truncated`] rather than
     /// an error. Iteration caps count the seeding round — a cap of `k` runs
@@ -216,11 +197,9 @@ pub fn run_with_kernel(
         }
     }
 
-    let threads = config.mode.threads();
     let obs = &config.obs;
     let mut stats = EngineStats {
         kernel: Some(kernel),
-        threads,
         ..EngineStats::default()
     };
     let mut counters = ProbeCounters::default();
@@ -229,20 +208,7 @@ pub fn run_with_kernel(
     if obs.enabled() {
         let kernel_label = kernel.label();
         obs.counter("recurs_engine_runs_total", &[("kernel", &kernel_label)], 1);
-        obs.event(
-            "engine.start",
-            &[
-                ("kernel", field::s(kernel_label)),
-                (
-                    "mode",
-                    field::s(match config.mode {
-                        EngineMode::Indexed => "indexed",
-                        EngineMode::Parallel { .. } => "parallel",
-                    }),
-                ),
-                ("threads", field::uz(threads)),
-            ],
-        );
+        obs.event("engine.start", &[("kernel", field::s(kernel_label))]);
     }
 
     'run: {
@@ -258,8 +224,8 @@ pub fn run_with_kernel(
             break 'run;
         }
 
-        // Iteration 0: non-recursive rules against the EDB (single-threaded
-        // — seeding is a one-off, the loop below is the hot path).
+        // Iteration 0: non-recursive rules against the EDB (a one-off; the
+        // loop below is the hot path).
         let t0 = Instant::now();
         let mut candidates: Derivations = Vec::new();
         let mut rule_rows: Vec<(usize, usize)> = Vec::new();
@@ -281,14 +247,11 @@ pub fn run_with_kernel(
         let mut ignored = BTreeMap::new();
         let new0 = merge_candidates(&mut storage, candidates, &mut ignored)?;
         stats.tuples_derived += new0;
-        let d0 = t0.elapsed();
         let it0 = IterationStats {
             delta_in: 0,
             derived: derived0,
             new_tuples: new0,
-            duration: d0,
-            busy: d0,
-            workers: 1,
+            duration: t0.elapsed(),
         };
         emit_engine_iteration(obs, 1, &it0);
         stats.iterations.push(it0);
@@ -328,6 +291,10 @@ pub fn run_with_kernel(
                     break;
                 }
             }
+            // An injected slowdown stalls the round before its budget check,
+            // so the check that follows sees the stall.
+            #[cfg(any(test, feature = "fault-inject"))]
+            fault::round_start(obs);
             if let Some(reason) = governor.check(Progress {
                 iterations: stats.iterations.len(),
                 tuples: stats.tuples_derived,
@@ -347,99 +314,19 @@ pub fn run_with_kernel(
             } else {
                 Vec::new()
             };
-
-            // Single-threaded busy time equals the iteration's wall time by
-            // definition; parallel workers report their own busy durations.
-            let (candidates, busy, interrupted) = match config.mode {
-                EngineMode::Indexed => {
-                    let (out, stop) =
-                        run_indexed(&variants, work, &storage, &mut counters, Some(&governor))?;
-                    (out, None, stop)
-                }
-                EngineMode::Parallel { .. } => {
-                    match run_sharded(
-                        &variants,
-                        work,
-                        &storage,
-                        threads,
-                        &mut counters,
-                        Some(&governor),
-                        obs,
-                    ) {
-                        Ok((out, busy, stop)) => (out, Some(busy), stop),
-                        Err(ShardFailure::Error(e)) => return Err(e),
-                        Err(ShardFailure::Panic(msg)) => {
-                            // Contain the panic and degrade: workers never
-                            // mutate shared storage, so the iteration can be
-                            // cleanly recomputed from the same delta on the
-                            // single-threaded indexed path.
-                            stats.worker_panics += 1;
-                            if obs.enabled() {
-                                obs.counter("recurs_engine_worker_panics_total", &[], 1);
-                                obs.event(
-                                    "engine.worker_panic",
-                                    &[
-                                        ("iteration", field::uz(iteration)),
-                                        ("message", field::s(msg.clone())),
-                                    ],
-                                );
-                            }
-                            let work = build_work(&variants, &delta);
-                            let retried =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    #[cfg(any(test, feature = "fault-inject"))]
-                                    fault::retry_start_obs(obs);
-                                    run_indexed(
-                                        &variants,
-                                        work,
-                                        &storage,
-                                        &mut counters,
-                                        Some(&governor),
-                                    )
-                                }));
-                            match retried {
-                                Ok(result) => {
-                                    let (out, stop) = result?;
-                                    stats.degraded_iterations += 1;
-                                    if obs.enabled() {
-                                        obs.counter(
-                                            "recurs_engine_degraded_iterations_total",
-                                            &[],
-                                            1,
-                                        );
-                                        obs.event(
-                                            "engine.degraded_retry",
-                                            &[("iteration", field::uz(iteration))],
-                                        );
-                                    }
-                                    (out, None, stop)
-                                }
-                                Err(payload) => {
-                                    return Err(EngineError::WorkerPanic {
-                                        iteration: stats.iterations.len() + 1,
-                                        message: panic_message(payload.as_ref()).unwrap_or(msg),
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-            };
+            let (candidates, interrupted) =
+                run_indexed(&variants, work, &storage, &mut counters, Some(&governor))?;
 
             emit_engine_rules(obs, iteration, &variants, &rule_rows, &candidates);
             let derived: usize = candidates.iter().map(|(_, _, ts)| ts.len()).sum();
             let mut next_delta: BTreeMap<Symbol, Vec<Tuple>> = BTreeMap::new();
             let new = merge_candidates(&mut storage, candidates, &mut next_delta)?;
             stats.tuples_derived += new;
-            let duration = t.elapsed();
             let it = IterationStats {
                 delta_in,
                 derived,
                 new_tuples: new,
-                duration,
-                busy: busy.unwrap_or(duration),
-                // A degraded (or indexed) iteration ran on one worker.
-                workers: if busy.is_some() { threads } else { 1 },
+                duration: t.elapsed(),
             };
             emit_engine_iteration(obs, iteration, &it);
             stats.iterations.push(it);
@@ -523,8 +410,6 @@ fn emit_engine_iteration(obs: &Obs, iteration: usize, it: &IterationStats) {
             ("derived", field::uz(it.derived)),
             ("new_tuples", field::uz(it.new_tuples)),
             ("duration_us", field::us(it.duration)),
-            ("busy_us", field::us(it.busy)),
-            ("workers", field::uz(it.workers)),
         ],
     );
 }
@@ -569,14 +454,6 @@ fn approx_memory(storage: &EngineDb) -> usize {
     #[cfg(not(any(test, feature = "fault-inject")))]
     let ballast = 0;
     storage.approx_bytes() + ballast
-}
-
-/// Extracts a panic payload's message, if it was a string.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> Option<String> {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
 }
 
 /// Per-variant seed rows from the current delta.
@@ -635,8 +512,7 @@ fn merge_candidates(
     Ok(new)
 }
 
-/// Executes the iteration's work items single-threaded over the indexed
-/// storage; also the retry path after a contained worker panic.
+/// Executes the iteration's work items over the indexed storage.
 fn run_indexed(
     variants: &[CompiledRule],
     work: Vec<(usize, Vec<Row>)>,
@@ -656,123 +532,6 @@ fn run_indexed(
         }
     }
     Ok((out, stop))
-}
-
-/// Why a sharded iteration failed (as opposed to tripping the budget).
-enum ShardFailure {
-    /// At least one worker panicked; the driver retries single-threaded.
-    Panic(String),
-    /// A worker hit an engine error (retrying cannot help).
-    Error(EngineError),
-}
-
-/// Executes the iteration's work items on `threads` scoped workers. Seed
-/// rows are sharded by the hash of their first join key (falling back to
-/// the whole row), shared storage is read-only, and each worker returns its
-/// own result buffer and probe counters for the main thread to merge. A
-/// panicking worker is caught via its join result — the other workers still
-/// finish and the failure is reported to the driver for containment.
-fn run_sharded(
-    variants: &[CompiledRule],
-    work: Vec<(usize, Vec<Row>)>,
-    storage: &EngineDb,
-    threads: usize,
-    counters: &mut ProbeCounters,
-    governor: Option<&Governor>,
-    #[allow(unused_variables)] obs: &Obs,
-) -> Result<(Derivations, std::time::Duration, Option<TruncationReason>), ShardFailure> {
-    // shards[w] holds this worker's rows for each work item.
-    let mut shards: Vec<Vec<(usize, Vec<Row>)>> = (0..threads)
-        .map(|_| Vec::with_capacity(work.len()))
-        .collect();
-    for (variant_i, rows) in work {
-        let shard_cols = variants[variant_i].shard_cols();
-        let mut buckets: Vec<Vec<Row>> = (0..threads).map(|_| Vec::new()).collect();
-        for row in rows {
-            let w = shard_of(&row, shard_cols, threads);
-            buckets[w].push(row);
-        }
-        for (w, bucket) in buckets.into_iter().enumerate() {
-            shards[w].push((variant_i, bucket));
-        }
-    }
-
-    let mut out: Derivations = Vec::new();
-    let mut busy = std::time::Duration::ZERO;
-    let mut stop: Option<TruncationReason> = None;
-    let mut failure: Option<ShardFailure> = None;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .enumerate()
-            .map(|(w, items)| {
-                s.spawn(move || {
-                    #[cfg(any(test, feature = "fault-inject"))]
-                    crate::fault::worker_start_obs(w, obs);
-                    #[cfg(not(any(test, feature = "fault-inject")))]
-                    let _ = w;
-                    let t = Instant::now();
-                    let mut local = ProbeCounters::default();
-                    let mut results: Derivations = Vec::new();
-                    let mut stop: Option<TruncationReason> = None;
-                    for (variant_i, rows) in items {
-                        if rows.is_empty() {
-                            continue;
-                        }
-                        let cr = &variants[variant_i];
-                        let mut buf = Vec::new();
-                        let interrupted =
-                            cr.execute(storage, rows, &mut local, governor, &mut buf)?;
-                        results.push((variant_i, cr.head_pred, buf));
-                        if interrupted.is_some() {
-                            stop = interrupted;
-                            break;
-                        }
-                    }
-                    Ok::<_, EngineError>((results, local, t.elapsed(), stop))
-                })
-            })
-            .collect();
-        for h in handles {
-            // Manual joins keep a panicking worker from propagating out of
-            // the scope: the panic becomes a join error here instead.
-            match h.join() {
-                Ok(Ok((results, local, elapsed, worker_stop))) => {
-                    out.extend(results);
-                    counters.absorb(local);
-                    busy += elapsed;
-                    if stop.is_none() {
-                        stop = worker_stop;
-                    }
-                }
-                Ok(Err(e)) => {
-                    failure.get_or_insert(ShardFailure::Error(e));
-                }
-                Err(payload) => {
-                    let msg = panic_message(payload.as_ref())
-                        .unwrap_or_else(|| "non-string panic payload".to_string());
-                    failure.get_or_insert(ShardFailure::Panic(msg));
-                }
-            }
-        }
-    });
-    match failure {
-        Some(f) => Err(f),
-        None => Ok((out, busy, stop)),
-    }
-}
-
-/// Deterministic shard assignment for a seed row.
-fn shard_of(row: &Row, shard_cols: &[usize], threads: usize) -> usize {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    if shard_cols.is_empty() {
-        row.hash(&mut h);
-    } else {
-        for &c in shard_cols {
-            row[c].hash(&mut h);
-        }
-    }
-    (h.finish() % threads as u64) as usize
 }
 
 #[cfg(test)]
@@ -809,21 +568,14 @@ mod tests {
     }
 
     #[test]
-    fn parallel_engine_matches_oracle_on_cycle() {
-        let _q = fault::quiesce(); // don't absorb another test's fault plan
+    fn engine_matches_oracle_on_cycle() {
         let mut db1 = Database::new();
         db1.insert_relation("A", Relation::from_pairs([(1, 2), (2, 3), (3, 1)]));
         db1.insert_relation("E", Relation::from_pairs([(1, 2), (2, 3), (3, 1)]));
         let mut db2 = db1.clone();
         semi_naive(&mut db1, &tc_program(), None).unwrap();
-        let cfg = EngineConfig {
-            mode: EngineMode::Parallel { threads: 4 },
-            budget: EvalBudget::unlimited(),
-            ..EngineConfig::default()
-        };
-        let sat = run_program(&mut db2, &tc_program(), &cfg).unwrap();
+        let sat = run_program(&mut db2, &tc_program(), &EngineConfig::default()).unwrap();
         assert!(sat.outcome.is_complete());
-        assert_eq!(sat.stats.worker_panics, 0);
         assert_eq!(db1.get("P").unwrap(), db2.get("P").unwrap());
         assert_eq!(db2.get("P").unwrap().len(), 9);
     }
@@ -844,7 +596,6 @@ mod tests {
     fn truncation_respects_iteration_cap() {
         let mut db = tc_db(40);
         let cfg = EngineConfig {
-            mode: EngineMode::Indexed,
             budget: EvalBudget::iteration_cap(Some(3)),
             ..EngineConfig::default()
         };
@@ -861,7 +612,6 @@ mod tests {
     fn tuple_ceiling_truncates_with_sound_subset() {
         let mut db = tc_db(40);
         let cfg = EngineConfig {
-            mode: EngineMode::Indexed,
             budget: EvalBudget::unlimited().with_max_tuples(50),
             ..EngineConfig::default()
         };
@@ -885,7 +635,6 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let cfg = EngineConfig {
-            mode: EngineMode::Parallel { threads: 2 },
             budget: EvalBudget::unlimited().with_cancel(token),
             ..EngineConfig::default()
         };
@@ -900,7 +649,6 @@ mod tests {
     fn memory_ceiling_truncates() {
         let mut db = tc_db(40);
         let cfg = EngineConfig {
-            mode: EngineMode::Indexed,
             budget: EvalBudget::unlimited().with_max_memory_bytes(1),
             ..EngineConfig::default()
         };
@@ -941,49 +689,42 @@ mod tests {
         // rounds 3, 2, 1, and a final round finds nothing new.
         let deltas: Vec<usize> = sat.stats.iterations.iter().map(|i| i.new_tuples).collect();
         assert_eq!(deltas, vec![4, 3, 2, 1, 0]);
-        assert!(sat.stats.iterations.iter().all(|i| i.workers == 1));
-        assert!(sat.stats.worker_utilization() > 0.9);
+    }
+
+    /// A recorder that panics on the `n`-th `engine.iteration` event, so a
+    /// panic fires inside the fixpoint loop, after rounds have already
+    /// derived tuples into the engine's storage.
+    #[derive(Debug)]
+    struct PanicOnIteration(usize, std::sync::atomic::AtomicUsize);
+
+    impl recurs_obs::Recorder for PanicOnIteration {
+        fn event(&self, kind: &'static str, _fields: &[(&'static str, recurs_obs::Value)]) {
+            use std::sync::atomic::Ordering;
+            if kind == "engine.iteration" && self.1.fetch_add(1, Ordering::SeqCst) + 1 == self.0 {
+                panic!("panic in iteration {}", self.0);
+            }
+        }
     }
 
     #[test]
-    fn single_worker_panic_is_contained_and_retried() {
-        let _g = fault::arm(fault::FaultPlan {
-            panic_mode: Some(fault::PanicMode::OnceInWorker(0)),
-            ..fault::FaultPlan::default()
-        });
-        let mut db1 = tc_db(8);
-        let mut db2 = tc_db(8);
-        semi_naive(&mut db1, &tc_program(), None).unwrap();
-        let cfg = EngineConfig {
-            mode: EngineMode::Parallel { threads: 3 },
-            budget: EvalBudget::unlimited(),
-            ..EngineConfig::default()
-        };
-        let sat = run_program(&mut db2, &tc_program(), &cfg).unwrap();
-        // The degraded run still reaches the complete, correct fixpoint.
-        assert!(sat.outcome.is_complete());
-        assert_eq!(sat.stats.worker_panics, 1);
-        assert_eq!(sat.stats.degraded_iterations, 1);
-        assert_eq!(db1.get("P").unwrap(), db2.get("P").unwrap());
-    }
-
-    #[test]
-    fn persistent_panics_surface_as_worker_panic_error() {
-        let _g = fault::arm(fault::FaultPlan {
-            panic_mode: Some(fault::PanicMode::Always),
-            ..fault::FaultPlan::default()
-        });
+    fn mid_fixpoint_panic_writes_nothing_back() {
         let before = tc_db(8);
         let mut db = before.clone();
         let cfg = EngineConfig {
-            mode: EngineMode::Parallel { threads: 2 },
-            budget: EvalBudget::unlimited(),
+            obs: Obs::new(std::sync::Arc::new(PanicOnIteration(
+                3,
+                std::sync::atomic::AtomicUsize::new(0),
+            ))),
             ..EngineConfig::default()
         };
-        let err = run_program(&mut db, &tc_program(), &cfg).unwrap_err();
-        assert!(matches!(err, EngineError::WorkerPanic { .. }));
-        // No write-back happened: the caller's database is unchanged.
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_program(&mut db, &tc_program(), &cfg)
+        }));
+        assert!(caught.is_err(), "the recorder's panic must unwind the run");
+        // Earlier rounds had derived tuples, but the write-back never ran:
+        // the EDB is unchanged and the IDB was only declared.
         assert_eq!(db.get("A").unwrap(), before.get("A").unwrap());
-        assert!(db.get("P").is_none() || db.get("P").unwrap().is_empty());
+        assert_eq!(db.get("E").unwrap(), before.get("E").unwrap());
+        assert!(db.get("P").unwrap().is_empty());
     }
 }

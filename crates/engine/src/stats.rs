@@ -58,12 +58,6 @@ pub struct IterationStats {
     pub new_tuples: usize,
     /// Wall-clock time of the iteration.
     pub duration: Duration,
-    /// Summed busy time of the workers that ran this iteration (equals
-    /// `duration` in single-threaded mode, up to `workers × duration` when
-    /// parallel).
-    pub busy: Duration,
-    /// Worker threads used.
-    pub workers: usize,
 }
 
 impl serde::Serialize for IterationStats {
@@ -73,8 +67,6 @@ impl serde::Serialize for IterationStats {
             ("derived", self.derived.to_value()),
             ("new_tuples", self.new_tuples.to_value()),
             ("duration_us", (self.duration.as_micros() as u64).to_value()),
-            ("busy_us", (self.busy.as_micros() as u64).to_value()),
-            ("workers", self.workers.to_value()),
         ])
     }
 }
@@ -84,8 +76,6 @@ impl serde::Serialize for IterationStats {
 pub struct EngineStats {
     /// The kernel the dispatcher selected.
     pub kernel: Option<KernelKind>,
-    /// Worker threads the configuration asked for.
-    pub threads: usize,
     /// Per-iteration detail, in order (iteration 0 is the non-recursive
     /// seeding round).
     pub iterations: Vec<IterationStats>,
@@ -97,11 +87,6 @@ pub struct EngineStats {
     pub probes: u64,
     /// Tuples returned by those probes (the "hits").
     pub probe_hits: u64,
-    /// Shard-worker panics caught and contained by the driver.
-    pub worker_panics: u64,
-    /// Iterations that fell back from parallel to single-threaded indexed
-    /// execution after a contained worker panic.
-    pub degraded_iterations: u64,
 }
 
 impl EngineStats {
@@ -115,26 +100,10 @@ impl EngineStats {
         self.iterations.iter().map(|i| i.duration).sum()
     }
 
-    /// Fraction of available worker time spent busy, in `0.0..=1.0`.
-    /// With one worker this is 1.0 by construction; with more it measures
-    /// how evenly the delta sharding spread the work.
-    pub fn worker_utilization(&self) -> f64 {
-        let mut available = Duration::ZERO;
-        let mut busy = Duration::ZERO;
-        for it in &self.iterations {
-            available += it.duration * u32::try_from(it.workers.max(1)).unwrap_or(1);
-            busy += it.busy;
-        }
-        if available.is_zero() {
-            return 1.0;
-        }
-        (busy.as_secs_f64() / available.as_secs_f64()).min(1.0)
-    }
-
     /// One-line summary for CLI output.
     pub fn summary(&self) -> String {
-        let mut line = format!(
-            "kernel={} iterations={} derived={} probes={} hits={} index_builds={} index_updates={} utilization={:.0}%",
+        format!(
+            "kernel={} iterations={} derived={} probes={} hits={} index_builds={} index_updates={}",
             self.kernel.map_or_else(|| "?".to_string(), |k| k.label()),
             self.iteration_count(),
             self.tuples_derived,
@@ -142,15 +111,7 @@ impl EngineStats {
             self.probe_hits,
             self.index.builds,
             self.index.updates,
-            self.worker_utilization() * 100.0
-        );
-        if self.worker_panics > 0 {
-            line.push_str(&format!(
-                " worker_panics={} degraded_iterations={}",
-                self.worker_panics, self.degraded_iterations
-            ));
-        }
-        line
+        )
     }
 }
 
@@ -158,7 +119,6 @@ impl serde::Serialize for EngineStats {
     fn to_value(&self) -> serde::Value {
         serde::Value::object([
             ("kernel", self.kernel.to_value()),
-            ("threads", self.threads.to_value()),
             ("iterations", self.iterations.to_value()),
             ("iteration_count", self.iteration_count().to_value()),
             ("tuples_derived", self.tuples_derived.to_value()),
@@ -170,9 +130,6 @@ impl serde::Serialize for EngineStats {
             ("index_updates", self.index.updates.to_value()),
             ("probes", self.probes.to_value()),
             ("probe_hits", self.probe_hits.to_value()),
-            ("worker_panics", self.worker_panics.to_value()),
-            ("degraded_iterations", self.degraded_iterations.to_value()),
-            ("worker_utilization", self.worker_utilization().to_value()),
         ])
     }
 }
@@ -186,30 +143,6 @@ mod tests {
         assert_eq!(KernelKind::Frontier.label(), "frontier");
         assert_eq!(KernelKind::BoundedUnroll { rank: 3 }.label(), "unroll(3)");
         assert_eq!(KernelKind::Generic.to_string(), "generic");
-    }
-
-    #[test]
-    fn utilization_is_one_for_single_worker() {
-        let mut s = EngineStats::default();
-        s.iterations.push(IterationStats {
-            duration: Duration::from_millis(10),
-            busy: Duration::from_millis(10),
-            workers: 1,
-            ..IterationStats::default()
-        });
-        assert!((s.worker_utilization() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn utilization_reflects_idle_workers() {
-        let mut s = EngineStats::default();
-        s.iterations.push(IterationStats {
-            duration: Duration::from_millis(10),
-            busy: Duration::from_millis(10), // one of two workers idle
-            workers: 2,
-            ..IterationStats::default()
-        });
-        assert!((s.worker_utilization() - 0.5).abs() < 0.01);
     }
 
     #[test]

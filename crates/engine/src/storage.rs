@@ -34,15 +34,23 @@ impl IndexCounters {
 /// A relation stored as a tuple arena plus persistent hash indexes on the
 /// column sets the compiled rules join on.
 ///
-/// Tuple ids are dense `u32`s in insertion order; indexes store ids, not
-/// tuple copies, so a tuple is owned exactly once however many indexes
-/// cover it. Removal (used by incremental view maintenance) tombstones the
-/// arena slot and unlinks the id from every index; arena slots are not
-/// reused, so ids stay stable for the lifetime of the relation.
+/// Tuple ids are `u32` arena slots; indexes store ids, not tuple copies, so
+/// a tuple is owned exactly once however many indexes cover it. Removal
+/// (used by incremental view maintenance) unlinks the id from every index
+/// and frees the slot, which the next insert reuses, so the arena never
+/// grows past the peak live count. An id therefore names its tuple only
+/// until that tuple is removed; ids reach callers only through [`probe`]
+/// and are resolved with [`tuple`] under the same shared borrow, so none is
+/// held across a removal.
+///
+/// [`probe`]: IndexedRelation::probe
+/// [`tuple`]: IndexedRelation::tuple
 #[derive(Debug, Clone, Default)]
 pub struct IndexedRelation {
     arity: usize,
     tuples: Vec<Option<Tuple>>,
+    /// Arena slots freed by `remove`, reused by the next `insert`.
+    free: Vec<u32>,
     ids: HashMap<Tuple, u32>,
     indexes: HashMap<Vec<usize>, Index>,
     counters: IndexCounters,
@@ -99,10 +107,17 @@ impl IndexedRelation {
         if self.ids.contains_key(&t) {
             return false;
         }
-        let Ok(id) = u32::try_from(self.tuples.len()) else {
-            // Dense u32 ids are a storage invariant; 2^32 arena slots
-            // exceeds every budget this engine runs under.
-            panic!("IndexedRelation overflow: more than u32::MAX tuples");
+        let id = match self.free.pop() {
+            Some(id) => id,
+            None => {
+                let Ok(id) = u32::try_from(self.tuples.len()) else {
+                    // u32 ids are a storage invariant; 2^32 live tuples
+                    // exceeds every budget this engine runs under.
+                    panic!("IndexedRelation overflow: more than u32::MAX tuples");
+                };
+                self.tuples.push(None);
+                id
+            }
         };
         for (cols, index) in &mut self.indexes {
             let key: Box<[Value]> = cols.iter().map(|&c| t[c]).collect();
@@ -110,12 +125,13 @@ impl IndexedRelation {
             self.counters.updates += 1;
         }
         self.ids.insert(t.clone(), id);
-        self.tuples.push(Some(t));
+        self.tuples[id as usize] = Some(t);
         true
     }
 
     /// Removes a tuple, unlinking its id from every existing index and
-    /// tombstoning its arena slot. Returns true if the tuple was present.
+    /// freeing its arena slot for reuse. Returns true if the tuple was
+    /// present.
     pub fn remove(&mut self, t: &[Value]) -> bool {
         let Some(id) = self.ids.remove(t) else {
             return false;
@@ -131,6 +147,7 @@ impl IndexedRelation {
             self.counters.updates += 1;
         }
         self.tuples[id as usize] = None;
+        self.free.push(id);
         true
     }
 
@@ -168,7 +185,8 @@ impl IndexedRelation {
         }
     }
 
-    /// Iterates over all live tuples in insertion order.
+    /// Iterates over all live tuples in arena-slot order (insertion order
+    /// until a removal frees a slot for reuse).
     pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
         self.tuples.iter().flatten()
     }
@@ -188,15 +206,18 @@ impl IndexedRelation {
         self.indexes.len()
     }
 
-    /// Approximate working-set bytes: tuple arena plus the dedup set (each
-    /// owns a copy of every tuple) plus index entries. An estimate for
-    /// budget enforcement, not an allocator measurement.
+    /// Approximate working-set bytes: the arena's slots, the live tuples
+    /// (the arena and the dedup set each own a copy of every one) and the
+    /// index entries. An estimate for budget enforcement, not an allocator
+    /// measurement.
     pub fn approx_bytes(&self) -> usize {
+        let live = self.ids.len();
         let per_tuple = self.arity * std::mem::size_of::<Value>() + 48;
-        let mut bytes = 2 * self.tuples.len() * per_tuple;
+        let mut bytes = self.tuples.len() * std::mem::size_of::<Option<Tuple>>();
+        bytes += 2 * live * per_tuple;
         for (cols, index) in &self.indexes {
             bytes += index.len() * (cols.len() * std::mem::size_of::<Value>() + 48);
-            bytes += self.tuples.len() * std::mem::size_of::<u32>();
+            bytes += live * std::mem::size_of::<u32>();
         }
         bytes
     }
@@ -338,10 +359,54 @@ mod tests {
         // Iteration and round-tripping skip the tombstone.
         assert_eq!(r.iter().count(), 2);
         assert_eq!(r.to_relation(), Relation::from_pairs([(1, 3), (2, 3)]));
-        // Reinsertion after removal gets a fresh id and is probe-visible.
+        // Reinsertion reuses the freed slot and is probe-visible.
         assert!(r.insert(tuple_u64([1, 2])));
         assert_eq!(r.probe(&[0], &[v(1)]).unwrap().len(), 2);
         assert_eq!(r.iter().count(), 3);
+        assert_eq!(r.tuples.len(), 3);
+    }
+
+    #[test]
+    fn remove_reinsert_churn_keeps_the_arena_and_estimate_flat() {
+        let n = 50u64;
+        let mut r =
+            IndexedRelation::from_relation(&Relation::from_pairs((0..n).map(|i| (i % 7, i))));
+        r.ensure_index(&[0]);
+        r.ensure_index(&[1]);
+        let start_bytes = r.approx_bytes();
+        for i in 0..10_000u64 {
+            let t = tuple_u64([i % n % 7, i % n]);
+            assert!(r.remove(&t));
+            assert_eq!(r.len() as u64, n - 1);
+            assert!(r.insert(t));
+        }
+        assert_eq!(
+            r.tuples.len() as u64,
+            n,
+            "arena grew past the peak live count"
+        );
+        assert_eq!(r.approx_bytes(), start_bytes);
+        // Every probe returns exactly the live tuples for its key.
+        for k in 0..7u64 {
+            let mut got: Vec<Tuple> = r
+                .probe(&[0], &[v(k)])
+                .unwrap()
+                .iter()
+                .map(|&id| r.tuple(id).clone())
+                .collect();
+            got.sort();
+            let mut want: Vec<Tuple> = (0..n)
+                .filter(|i| i % 7 == k)
+                .map(|i| tuple_u64([k, i]))
+                .collect();
+            want.sort();
+            assert_eq!(got, want, "key {k}");
+        }
+        for i in 0..n {
+            let ids = r.probe(&[1], &[v(i)]).unwrap();
+            assert_eq!(ids.len(), 1);
+            assert_eq!(r.tuple(ids[0]), &tuple_u64([i % 7, i]));
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Fault-injection suite (requires `--features fault-inject`): every
-//! injected worker panic, slowdown, or allocation-pressure scenario must
-//! yield either a correct complete result or a well-formed `Truncated`
-//! under-approximation — never a process abort, never an over-approximation.
+//! injected slowdown or allocation-pressure scenario must yield either a
+//! correct complete result or a well-formed `Truncated` under-approximation
+//! — never a process abort, never an over-approximation.
 //!
 //! The `fault` module's plan is process-global, so every test here arms it
 //! through `fault::arm`, which serializes the tests on a gate.
@@ -15,8 +15,8 @@ use recurs_datalog::govern::{EvalBudget, Outcome, TruncationReason};
 use recurs_datalog::parser::parse_program;
 use recurs_datalog::relation::Relation;
 use recurs_datalog::rule::Program;
-use recurs_engine::fault::{arm, FaultPlan, PanicMode};
-use recurs_engine::{run_program, EngineConfig, EngineError, EngineMode};
+use recurs_engine::fault::{arm, FaultPlan};
+use recurs_engine::{run_program, EngineConfig};
 use recurs_obs::{CaptureRecorder, Obs};
 use recurs_workload::{random_database, random_linear_recursion, RuleConfig};
 use std::sync::Arc;
@@ -33,86 +33,15 @@ fn tc_program() -> Program {
     parse_program("P(x, y) :- E(x, y).\nP(x, y) :- A(x, z), P(z, y).").unwrap()
 }
 
-fn parallel(threads: usize, budget: EvalBudget) -> EngineConfig {
+fn config(budget: EvalBudget) -> EngineConfig {
     EngineConfig {
-        mode: EngineMode::Parallel { threads },
         budget,
         ..EngineConfig::default()
     }
 }
 
-fn parallel_obs(
-    threads: usize,
-    budget: EvalBudget,
-    capture: &Arc<CaptureRecorder>,
-) -> EngineConfig {
-    EngineConfig {
-        obs: Obs::new(capture.clone()),
-        ..parallel(threads, budget)
-    }
-}
-
 #[test]
-fn one_shot_worker_panic_degrades_and_completes() {
-    let _g = arm(FaultPlan {
-        panic_mode: Some(PanicMode::OnceInWorker(1)),
-        ..FaultPlan::default()
-    });
-    let mut oracle = tc_db(12);
-    semi_naive(&mut oracle, &tc_program(), None).unwrap();
-    let mut db = tc_db(12);
-    let capture = Arc::new(CaptureRecorder::new());
-    let sat = run_program(
-        &mut db,
-        &tc_program(),
-        &parallel_obs(3, EvalBudget::unlimited(), &capture),
-    )
-    .unwrap();
-    assert!(sat.outcome.is_complete());
-    assert_eq!(sat.stats.worker_panics, 1);
-    assert_eq!(sat.stats.degraded_iterations, 1);
-    assert_eq!(oracle.get("P").unwrap(), db.get("P").unwrap());
-
-    // The injected fault must be visible in the trace stream — announced
-    // before it fired, at the worker site it was armed for — alongside the
-    // engine's own containment events, so a trace reader can tell an
-    // injected failure from an organic one.
-    let injected = capture.events_of("fault.injected");
-    assert_eq!(injected.len(), 1, "one armed fault → one fault.injected");
-    assert_eq!(injected[0].text("kind"), Some("panic"));
-    assert_eq!(injected[0].text("site"), Some("worker"));
-    assert_eq!(injected[0].uint("worker"), Some(1));
-    assert_eq!(capture.events_of("engine.worker_panic").len(), 1);
-    assert_eq!(capture.events_of("engine.degraded_retry").len(), 1);
-}
-
-#[test]
-fn persistent_panics_exhaust_the_ladder_without_corruption() {
-    let _g = arm(FaultPlan {
-        panic_mode: Some(PanicMode::Always),
-        ..FaultPlan::default()
-    });
-    let before = tc_db(12);
-    let mut db = before.clone();
-    let err = run_program(
-        &mut db,
-        &tc_program(),
-        &parallel(2, EvalBudget::unlimited()),
-    )
-    .unwrap_err();
-    let EngineError::WorkerPanic { iteration, message } = err else {
-        panic!("expected WorkerPanic, got a different error");
-    };
-    assert!(iteration >= 1);
-    assert!(message.contains("injected fault"));
-    // The EDB is untouched and no partial IDB was written back.
-    assert_eq!(db.get("A").unwrap(), before.get("A").unwrap());
-    assert_eq!(db.get("E").unwrap(), before.get("E").unwrap());
-    assert!(db.get("P").is_none_or(Relation::is_empty));
-}
-
-#[test]
-fn slow_workers_trip_the_deadline_with_a_sound_subset() {
+fn slow_rounds_trip_the_deadline_with_a_sound_subset() {
     let _g = arm(FaultPlan {
         slowdown: Some(Duration::from_millis(30)),
         ..FaultPlan::default()
@@ -122,9 +51,13 @@ fn slow_workers_trip_the_deadline_with_a_sound_subset() {
     let full = oracle.get("P").unwrap();
 
     let mut db = tc_db(40);
-    let budget = EvalBudget::unlimited().with_timeout(Duration::from_millis(1));
+    let budget = EvalBudget::unlimited().with_timeout(Duration::from_millis(10));
     let capture = Arc::new(CaptureRecorder::new());
-    let sat = run_program(&mut db, &tc_program(), &parallel_obs(2, budget, &capture)).unwrap();
+    let cfg = EngineConfig {
+        obs: Obs::new(capture.clone()),
+        ..config(budget)
+    };
+    let sat = run_program(&mut db, &tc_program(), &cfg).unwrap();
     assert_eq!(sat.outcome, Outcome::Truncated(TruncationReason::Deadline));
     let slowdowns = capture.events_of("fault.injected");
     assert!(
@@ -133,7 +66,7 @@ fn slow_workers_trip_the_deadline_with_a_sound_subset() {
     );
     assert!(slowdowns
         .iter()
-        .all(|e| e.text("kind") == Some("slowdown") && e.text("site") == Some("worker")));
+        .all(|e| e.text("kind") == Some("slowdown") && e.text("site") == Some("round")));
     for t in db.get("P").unwrap().iter() {
         assert!(
             full.contains(t),
@@ -151,7 +84,7 @@ fn allocation_pressure_trips_the_memory_ceiling() {
     });
     let mut db = tc_db(20);
     let budget = EvalBudget::unlimited().with_max_memory_bytes(1 << 20);
-    let sat = run_program(&mut db, &tc_program(), &parallel(2, budget)).unwrap();
+    let sat = run_program(&mut db, &tc_program(), &config(budget)).unwrap();
     assert_eq!(
         sat.outcome,
         Outcome::Truncated(TruncationReason::MemoryCeiling)
@@ -168,9 +101,7 @@ proptest! {
     fn injected_faults_never_corrupt_results(
         rule_seed in 0u64..10_000,
         db_seed in 0u64..10_000,
-        fault_kind in 0usize..3,
-        panic_worker in 0usize..3,
-        threads in 2usize..=4,
+        fault_kind in 0usize..2,
     ) {
         let lr = random_linear_recursion(rule_seed, RuleConfig::default());
         let edb = random_database(&lr, 25, 6, db_seed);
@@ -181,13 +112,6 @@ proptest! {
 
         let (plan, budget) = match fault_kind {
             0 => (
-                FaultPlan {
-                    panic_mode: Some(PanicMode::OnceInWorker(panic_worker)),
-                    ..FaultPlan::default()
-                },
-                EvalBudget::unlimited(),
-            ),
-            1 => (
                 FaultPlan {
                     slowdown: Some(Duration::from_millis(5)),
                     ..FaultPlan::default()
@@ -205,8 +129,8 @@ proptest! {
 
         let _g = arm(plan);
         let mut db = edb.clone();
-        let sat = run_program(&mut db, &program, &parallel(threads, budget))
-            .expect("contained faults never error");
+        let sat = run_program(&mut db, &program, &config(budget))
+            .expect("injected faults never error");
         let got = db.get("P").expect("IDB is materialized");
         for t in got.iter() {
             prop_assert!(full.contains(t), "fault run derived a tuple outside the fixpoint");

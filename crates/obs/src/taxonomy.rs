@@ -53,7 +53,7 @@ pub const EVENTS: &[EventKind] = &[
     EventKind {
         kind: "engine.start",
         layer: "engine",
-        doc: "A kernel run began: kernel, mode, and input relation sizes.",
+        doc: "A kernel run began: the kernel the run uses.",
     },
     EventKind {
         kind: "engine.iteration",
@@ -74,16 +74,6 @@ pub const EVENTS: &[EventKind] = &[
         kind: "engine.truncated",
         layer: "engine",
         doc: "A kernel run stopped on budget: which ceiling tripped.",
-    },
-    EventKind {
-        kind: "engine.degraded_retry",
-        layer: "engine",
-        doc: "A specialized kernel failed its safety check and the engine fell back to saturation.",
-    },
-    EventKind {
-        kind: "engine.worker_panic",
-        layer: "engine",
-        doc: "A parallel worker panicked; the run degraded to the sequential path.",
     },
     EventKind {
         kind: "fault.injected",

@@ -148,12 +148,16 @@ impl PointPlans {
 
     /// Answers `query` against `db` under `budget` with the selected kernel.
     /// `db` is never mutated: kernels that saturate clone it first.
+    ///
+    /// The engine has one execution mode, so `_mode` changes nothing; the
+    /// parameter stays because the serving benchmark under `perfbench/`
+    /// calls this signature.
     pub fn answer(
         &self,
         db: &Database,
         query: &Atom,
         budget: &EvalBudget,
-        mode: EngineMode,
+        _mode: EngineMode,
         obs: &Obs,
     ) -> Result<PointAnswer, ServeError> {
         if query.predicate != self.lr.predicate {
@@ -174,12 +178,12 @@ impl PointPlans {
         }
         match self.select(query) {
             PointKernelKind::BoundedUnroll { rank } => self.answer_bounded(db, query, budget, rank),
-            PointKernelKind::MagicIterate => self.answer_magic(db, query, budget, mode, obs),
+            PointKernelKind::MagicIterate => self.answer_magic(db, query, budget, obs),
             // The materialized-view kernel lives in the service (it needs the
             // maintained view); `select` never returns it, and if a caller
             // asks for it without a view the saturating kernel is the answer.
             PointKernelKind::FullSaturation | PointKernelKind::MaterializedView => {
-                self.answer_saturate(db, query, budget, mode, obs)
+                self.answer_saturate(db, query, budget, obs)
             }
         }
     }
@@ -227,7 +231,6 @@ impl PointPlans {
         db: &Database,
         query: &Atom,
         budget: &EvalBudget,
-        mode: EngineMode,
         obs: &Obs,
     ) -> Result<PointAnswer, ServeError> {
         let form = QueryForm::of_atom(query);
@@ -250,7 +253,6 @@ impl PointPlans {
             }
         }
         let config = EngineConfig {
-            mode,
             budget: budget.clone(),
             obs: obs.clone(),
         };
@@ -274,12 +276,10 @@ impl PointPlans {
         db: &Database,
         query: &Atom,
         budget: &EvalBudget,
-        mode: EngineMode,
         obs: &Obs,
     ) -> Result<PointAnswer, ServeError> {
         let mut db = db.clone();
         let config = EngineConfig {
-            mode,
             budget: budget.clone(),
             obs: obs.clone(),
         };

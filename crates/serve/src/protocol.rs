@@ -44,7 +44,6 @@ use recurs_datalog::term::Term;
 use recurs_ivm::{FactOp, DEFAULT_WHY_DEPTH};
 use recurs_obs::TraceId;
 use serde::{Serialize as _, Value};
-use std::io::{BufRead, Write};
 use std::time::Duration;
 
 /// Outcome of handling one protocol line.
@@ -351,26 +350,6 @@ fn render_reply(query: &str, reply: &Reply) -> Value {
     Value::object(fields)
 }
 
-/// Serves the line protocol until EOF or `!quit`: one request per input
-/// line, one JSON reply per output line (flushed after each).
-pub fn run_loop(
-    service: &QueryService,
-    input: impl BufRead,
-    mut output: impl Write,
-) -> std::io::Result<()> {
-    for line in input.lines() {
-        match handle_line(service, &line?) {
-            LineOutcome::Reply(reply) => {
-                writeln!(output, "{reply}")?;
-                output.flush()?;
-            }
-            LineOutcome::Silent => {}
-            LineOutcome::Quit => break,
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -573,13 +552,18 @@ mod tests {
 
     #[test]
     fn run_loop_replies_per_line_until_quit() {
+        // Feed lines one at a time the way a serving loop does: one reply
+        // per request line, and `!quit` ends the session.
         let s = service();
-        let input = b"?- P(1, y).\n!stats\n!quit\n?- P(2, y).\n" as &[u8];
-        let mut out = Vec::new();
-        run_loop(&s, input, &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2, "quit must end the session: {text}");
+        let mut lines = Vec::new();
+        for line in ["?- P(1, y).", "!stats", "!quit", "?- P(2, y)."] {
+            match handle_line(&s, line) {
+                LineOutcome::Reply(r) => lines.push(r),
+                LineOutcome::Silent => {}
+                LineOutcome::Quit => break,
+            }
+        }
+        assert_eq!(lines.len(), 2, "quit must end the session: {lines:?}");
         assert!(lines[0].contains("\"type\":\"answers\""));
         assert!(lines[1].contains("\"type\":\"stats\""));
     }

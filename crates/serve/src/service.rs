@@ -39,8 +39,6 @@ pub struct ServeConfig {
     pub cache_shards: usize,
     /// Default per-query budget (queries may override it).
     pub budget: EvalBudget,
-    /// Engine mode for saturating kernels (magic / full saturation).
-    pub mode: EngineMode,
     /// External observability sink. The service always maintains its own
     /// metric [`Aggregator`] (backing [`QueryService::stats`] and
     /// [`QueryService::metrics_text`]); a recorder supplied here receives
@@ -55,7 +53,6 @@ impl Default for ServeConfig {
             cache_capacity: 1024,
             cache_shards: 8,
             budget: EvalBudget::unlimited(),
-            mode: EngineMode::Indexed,
             obs: Obs::noop(),
         }
     }
@@ -135,7 +132,6 @@ pub struct QueryService {
     flight: Arc<FlightRecorder>,
     obs: Obs,
     budget: EvalBudget,
-    mode: EngineMode,
 }
 
 impl QueryService {
@@ -172,7 +168,6 @@ impl QueryService {
             flight,
             obs,
             budget: config.budget,
-            mode: config.mode,
         }
     }
 
@@ -505,7 +500,7 @@ impl QueryService {
                 let _eval = tr.map(|(ctx, parent)| ctx.span("eval", parent));
                 let point = self
                     .plans
-                    .answer(snapshot.database(), query, budget, self.mode, obs)
+                    .answer(snapshot.database(), query, budget, EngineMode::Indexed, obs)
                     .inspect_err(|_| {
                         obs.counter("recurs_serve_query_errors_total", &[], 1);
                     })?;

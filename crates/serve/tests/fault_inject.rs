@@ -1,21 +1,22 @@
 //! Fault-injection suite for the serving layer (requires
 //! `--features fault-inject`, which forwards to the engine's fault module):
-//! injected worker panics inside a parallel saturation kernel must be
-//! contained by the engine's degradation ladder without corrupting a
-//! served reply or poisoning the cache.
+//! a saturating kernel stalled by an injected slow round under a short
+//! budget must return a sound truncated reply that is never cached, so the
+//! next query with room to finish evaluates afresh and is complete.
 
 #![cfg(feature = "fault-inject")]
 
 use recurs_datalog::database::Database;
 use recurs_datalog::eval::{answer_query, semi_naive};
+use recurs_datalog::govern::{EvalBudget, Outcome, TruncationReason};
 use recurs_datalog::parser::{parse_atom, parse_program};
 use recurs_datalog::relation::Relation;
 use recurs_datalog::rule::LinearRecursion;
-use recurs_engine::fault::{arm, FaultPlan, PanicMode};
-use recurs_engine::EngineMode;
+use recurs_engine::fault::{arm, FaultPlan};
 use recurs_obs::{CaptureRecorder, Obs};
-use recurs_serve::{CacheOutcome, QueryService, ServeConfig};
+use recurs_serve::{CacheOutcome, PointKernelKind, QueryService, ServeConfig};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn tc() -> LinearRecursion {
     recurs_datalog::validate::validate_with_generic_exit(
@@ -31,81 +32,64 @@ fn tc_db(n: u64) -> Database {
     db
 }
 
-fn parallel_service(n: u64) -> QueryService {
-    parallel_service_obs(n, Obs::noop())
-}
-
-fn parallel_service_obs(n: u64, obs: Obs) -> QueryService {
-    QueryService::new(
+#[test]
+fn slow_round_truncation_is_not_cached_and_the_next_query_completes() {
+    let _g = arm(FaultPlan {
+        slowdown: Some(Duration::from_millis(30)),
+        ..FaultPlan::default()
+    });
+    let mut oracle = tc_db(12);
+    semi_naive(&mut oracle, &tc().to_program(), None).expect("oracle saturates");
+    let capture = Arc::new(CaptureRecorder::new());
+    let service = QueryService::new(
         tc(),
-        tc_db(n),
+        tc_db(12),
         ServeConfig {
-            mode: EngineMode::Parallel { threads: 3 },
-            obs,
+            obs: Obs::new(capture.clone()),
             ..ServeConfig::default()
         },
-    )
-}
-
-#[test]
-fn worker_panic_during_saturation_still_serves_complete_answers() {
-    let _g = arm(FaultPlan {
-        panic_mode: Some(PanicMode::OnceInWorker(0)),
-        ..FaultPlan::default()
-    });
-    let capture = Arc::new(CaptureRecorder::new());
-    let service = parallel_service_obs(12, Obs::new(capture.clone()));
-    // All-free query → FullSaturation path → parallel engine kernel, where
-    // the armed panic fires. The engine degrades and retries; the reply must
-    // still be complete and correct.
-    let q = parse_atom("P(x, y)").expect("query parses");
-    let reply = service.query(&q).expect("fault is contained, not surfaced");
-    assert!(reply.outcome.is_complete());
-
-    let mut oracle = tc_db(12);
-    semi_naive(&mut oracle, &tc().to_program(), None).expect("oracle saturates");
-    let want = answer_query(&oracle, &q).expect("oracle answers");
-    assert_eq!(
-        *reply.answers, want,
-        "degraded run diverged from the oracle"
     );
+    let short = EvalBudget::unlimited().with_timeout(Duration::from_millis(10));
+    // An all-free query takes the full-saturation kernel, a bound one the
+    // magic kernel; both run the engine's fixpoint driver.
+    for (text, kernel) in [
+        ("P(x, y)", PointKernelKind::FullSaturation),
+        ("P(1, y)", PointKernelKind::MagicIterate),
+    ] {
+        let q = parse_atom(text).expect("query parses");
+        let want = answer_query(&oracle, &q).expect("oracle answers");
 
-    // The (correct) answer was cached; the repeat ask is a hit with the
-    // same tuples even though the first run degraded.
-    let again = service.query(&q).expect("repeat query succeeds");
-    assert_eq!(again.stats.cache, CacheOutcome::Hit);
-    assert_eq!(again.answers, reply.answers);
+        let cached = service.cache_len();
+        let cut = service
+            .query_with_budget(&q, &short)
+            .expect("truncation is not an error");
+        assert_eq!(cut.stats.kernel, kernel, "{text}");
+        assert_eq!(
+            cut.outcome,
+            Outcome::Truncated(TruncationReason::Deadline),
+            "{text}"
+        );
+        assert!(cut.answers.len() < want.len(), "{text}");
+        for t in cut.answers.iter() {
+            assert!(want.contains(t), "{text}: truncated reply is not a subset");
+        }
+        assert_eq!(
+            service.cache_len(),
+            cached,
+            "{text}: a truncated reply was cached"
+        );
 
-    // The injected fault travelled through the serving layer's recorder:
-    // the trace shows the fault firing inside the engine kernel *and* the
-    // served query that contained it, so an operator can correlate the two.
+        let full = service.query(&q).expect("unlimited query succeeds");
+        assert!(full.outcome.is_complete(), "{text}");
+        assert_eq!(full.stats.cache, CacheOutcome::Miss, "{text}");
+        assert_eq!(*full.answers, want, "{text}: diverged from the oracle");
+    }
+
+    // The stall travelled through the serving layer's recorder, at the
+    // engine's round site.
     let injected = capture.events_of("fault.injected");
-    assert_eq!(injected.len(), 1, "one armed fault → one fault.injected");
-    assert_eq!(injected[0].text("kind"), Some("panic"));
-    assert_eq!(injected[0].text("site"), Some("worker"));
-    assert_eq!(capture.events_of("engine.worker_panic").len(), 1);
-    assert_eq!(
-        capture.events_of("serve.query").len(),
-        2,
-        "both the degraded miss and the cache hit are traced"
-    );
-}
-
-#[test]
-fn worker_panic_during_magic_iteration_is_contained() {
-    let _g = arm(FaultPlan {
-        panic_mode: Some(PanicMode::OnceInWorker(0)),
-        ..FaultPlan::default()
-    });
-    let service = parallel_service(12);
-    // Bound query → MagicIterate path, also engine-driven under the
-    // parallel mode; the panic must be contained there too.
-    let q = parse_atom("P(1, y)").expect("query parses");
-    let reply = service.query(&q).expect("fault is contained, not surfaced");
-    assert!(reply.outcome.is_complete());
-
-    let mut oracle = tc_db(12);
-    semi_naive(&mut oracle, &tc().to_program(), None).expect("oracle saturates");
-    let want = answer_query(&oracle, &q).expect("oracle answers");
-    assert_eq!(*reply.answers, want);
+    assert!(!injected.is_empty(), "the armed slowdown never fired");
+    assert!(injected
+        .iter()
+        .all(|e| e.text("kind") == Some("slowdown") && e.text("site") == Some("round")));
 }

@@ -88,7 +88,6 @@ fn cli_run_reports_typed_errors_for_bad_programs() {
                 file: String::new(),
                 check: false,
                 engine: None,
-                threads: 2,
                 timeout_ms: None,
                 max_tuples: None,
                 max_iterations: None,
@@ -114,8 +113,8 @@ fn cli_arg_parsing_rejects_malformed_flags() {
         &["run"],                                    // missing file
         &["run", "f.dl", "--engine"],                // missing value
         &["run", "f.dl", "--engine", "quantum"],     // unknown engine
-        &["run", "f.dl", "--threads", "zero"],       // non-numeric
-        &["run", "f.dl", "--threads", "0"],          // zero workers
+        &["run", "f.dl", "--engine", "parallel"],    // unknown engine
+        &["run", "f.dl", "--threads", "2"],          // unknown option
         &["run", "f.dl", "--timeout-ms", "-5"],      // negative
         &["run", "f.dl", "--max-tuples", "many"],    // non-numeric
         &["run", "f.dl", "--max-iterations", "3.5"], // non-integral
